@@ -38,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro._version import __version__
 from repro.errors import PerfRegressionError
-from repro.utils.atomicio import fsync_directory
+from repro.utils.atomicio import fsync_directory, write_synced
 
 PathLike = Union[str, Path]
 
@@ -255,9 +255,7 @@ def record(
         entry["note"] = note
     path = Path(history_path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("a") as handle:
-        handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        handle.flush()
+    write_synced(path, json.dumps(entry, sort_keys=True) + "\n")
     fsync_directory(path.parent)
     return entry
 

@@ -27,18 +27,12 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Protocol, Union
 
+from repro._version import __version__
 from repro.errors import CheckpointError
-from repro.utils.atomicio import atomic_write_text
-
-
-def _package_version() -> str:
-    from repro._version import __version__
-
-    return __version__
+from repro.utils.atomicio import atomic_write_text, write_synced
 
 
 class PointJournal(Protocol):
@@ -113,6 +107,37 @@ def parse_journal_lines(
         yield entry
 
 
+def journal_entry(
+    journal: PointJournal,
+    params: Dict,
+    status: str,
+    rows: Optional[List[Dict]] = None,
+    attempts: int = 1,
+    duration: float = 0.0,
+    error: Optional[str] = None,
+) -> Dict:
+    """One journal line's entry, as every :class:`PointJournal` records it."""
+    return {
+        "key": journal.key(params),
+        "version": journal.version,
+        "params": params,
+        "status": status,
+        "rows": rows if rows is not None else [],
+        "attempts": attempts,
+        "duration": duration,
+        "error": error,
+    }
+
+
+def journal_line(entry: Dict) -> str:
+    """``entry`` serialized as one newline-terminated journal line.
+
+    No ``sort_keys``: row dicts must round-trip with their column order
+    intact so resumed output matches a fresh run.
+    """
+    return json.dumps(entry, default=repr) + "\n"
+
+
 def point_key(params: Dict, version: str) -> str:
     """Stable content hash of one grid point under one code version."""
     try:
@@ -138,7 +163,7 @@ class CheckpointStore:
         resume: bool = True,
     ):
         self.path = Path(path)
-        self.version = version if version is not None else _package_version()
+        self.version = version if version is not None else __version__
         self._entries: Dict[str, Dict] = {}
         if self.path.exists():
             if self.path.is_dir():
@@ -200,27 +225,13 @@ class CheckpointStore:
         error: Optional[str] = None,
     ) -> Dict:
         """Journal one finished point (successful or exhausted)."""
-        entry = {
-            "key": self.key(params),
-            "version": self.version,
-            "params": params,
-            "status": status,
-            "rows": rows if rows is not None else [],
-            "attempts": attempts,
-            "duration": duration,
-            "error": error,
-        }
+        entry = journal_entry(self, params, status, rows, attempts, duration, error)
         try:
-            # No sort_keys: row dicts must round-trip with their column
-            # order intact so resumed output matches a fresh run.
-            line = json.dumps(entry, default=repr)
+            line = journal_line(entry)
         except TypeError as exc:  # pragma: no cover - default=repr is total
             raise CheckpointError(f"unserializable checkpoint entry: {exc}") from exc
         try:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            write_synced(self.path, line)
         except OSError as exc:
             raise CheckpointError(
                 f"cannot append to checkpoint {self.path}: {exc}"
@@ -254,7 +265,7 @@ class CheckpointStore:
             for key, entry in self._entries.items()
             if not (drop_failed and entry.get("status") != "ok")
         }
-        text = "".join(json.dumps(entry, default=repr) + "\n" for entry in keep.values())
+        text = "".join(journal_line(entry) for entry in keep.values())
         try:
             atomic_write_text(self.path, text)
         except OSError as exc:

@@ -73,28 +73,36 @@ into :mod:`repro.obs.metrics`; local counts are always in
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-try:  # pragma: no cover - fcntl is stdlib on POSIX, absent on Windows
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-
+from repro._version import __version__
 from repro.errors import LedgerCorruptionError, StorageError, StoreCorruptionError
 from repro.obs import metrics
-from repro.robust.checkpoint import parse_journal_lines, point_key
+from repro.robust.checkpoint import (
+    journal_entry,
+    journal_line,
+    parse_journal_lines,
+    point_key,
+)
 from repro.store.segment import Segment, encode_segment
-from repro.utils.atomicio import atomic_write_bytes, fsync_directory
+from repro.utils.atomicio import (
+    append_manifest,
+    atomic_write_bytes,
+    flock,
+    fsync_directory,
+    quarantine_file,
+    read_manifest,
+    reap_orphan_temps,
+    write_synced,
+)
 
 logger = logging.getLogger("repro.store.ledger")
 
@@ -126,12 +134,6 @@ _AGGREGATES = {
     "mean": lambda values: sum(values) / len(values),
     "count": len,
 }
-
-
-def _package_version() -> str:
-    from repro._version import __version__
-
-    return __version__
 
 
 class _SegmentEntry:
@@ -182,7 +184,7 @@ class SweepLedger:
         if segment_entries < 1:
             raise ValueError(f"segment_entries must be >= 1, got {segment_entries}")
         self.root = Path(root)
-        self.version = version if version is not None else _package_version()
+        self.version = version if version is not None else __version__
         self.segment_entries = segment_entries
         self.segments_dir = self.root / "segments"
         self.corrupt_dir = self.root / "corrupt"
@@ -226,26 +228,6 @@ class SweepLedger:
         if metrics.enabled:
             metrics.counter(f"ledger.{name}").add(delta)
 
-    @contextmanager
-    def _flock(self) -> Iterator[None]:
-        """Serialize writers across processes (best effort without fcntl)."""
-        if fcntl is None or not self._writable:
-            yield
-            return
-        try:
-            handle = self.lock_path.open("a")
-        except OSError:
-            yield
-            return
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
-
     def _maybe_crash(
         self, point: str, torn: Optional[Tuple[Path, bytes]] = None
     ) -> None:
@@ -282,31 +264,8 @@ class SweepLedger:
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _manifest_segments(self) -> Dict[str, str]:
-        """Latest manifest op per segment name, tolerating a torn tail."""
-        ops: Dict[str, str] = {}
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except OSError:
-            return ops
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # crash mid-append truncated this line
-            if isinstance(entry, dict) and isinstance(entry.get("segment"), str):
-                ops[entry["segment"]] = str(entry.get("op", ""))
-        return ops
-
     def _append_manifest(self, entry: Dict) -> None:
-        entry = {**entry, "pid": os.getpid()}
-        with self.manifest_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_manifest(self.manifest_path, {**entry, "pid": os.getpid()})
 
     def _recover(self) -> None:
         """Repair after a crash; safe (and run) at every open.
@@ -319,20 +278,13 @@ class SweepLedger:
         already-sealed duplicates dropped.
         """
         repairs = {"orphan_tmp": 0, "rejournaled": 0, "quarantined": 0}
-        with self._flock():
+        with flock(self.lock_path, self._writable):
             if self._writable and self.segments_dir.is_dir():
-                # Live writers hold the flock while their temp file
-                # exists, so anything visible here is a crash orphan.
-                for tmp in self.segments_dir.glob(".*.tmp"):
-                    try:
-                        tmp.unlink()
-                        repairs["orphan_tmp"] += 1
-                    except OSError:  # pragma: no cover - raced another opener
-                        pass
+                repairs["orphan_tmp"] = reap_orphan_temps(self.segments_dir)
             if self.corrupt_dir.is_dir():
                 for path in self.corrupt_dir.iterdir():
                     self._note_segment_name(path.name.split(".seg")[0] + ".seg")
-            journalled = self._manifest_segments()
+            journalled = read_manifest(self.manifest_path, "segment")
             if self.segments_dir.is_dir():
                 for path in sorted(self.segments_dir.glob("seg-*.seg")):
                     self._note_segment_name(path.name)
@@ -396,31 +348,16 @@ class SweepLedger:
 
     def _quarantine_locked(self, path: Path, reason: str) -> Optional[Path]:
         """Move a corrupt segment into ``corrupt/``; never raises."""
-        destination: Optional[Path] = None
-        for attempt in range(100):
-            candidate = self.corrupt_dir / f"{path.name}.{attempt}"
-            if not candidate.exists():
-                destination = candidate
-                break
+        destination = quarantine_file(
+            path, self.corrupt_dir, path.name, move=self._writable
+        )
+        self._count("quarantined")
         if not self._writable:
             logger.warning(
                 "corrupt ledger segment %s (%s); read-only open, "
                 "skipping it", path.name, reason,
             )
-            self._count("quarantined")
             return None
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            if destination is None:
-                raise OSError("quarantine namespace exhausted")
-            os.replace(path, destination)
-        except OSError:
-            destination = None
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._count("quarantined")
         if metrics.enabled:
             metrics.counter("ledger.corrupt_detected").add()
         logger.warning(
@@ -512,16 +449,7 @@ class SweepLedger:
             raise StoreCorruptionError(
                 f"sweep ledger {self.root} was opened read-only"
             )
-        entry = {
-            "key": self.key(params),
-            "version": self.version,
-            "params": params,
-            "status": status,
-            "rows": rows if rows is not None else [],
-            "attempts": attempts,
-            "duration": duration,
-            "error": error,
-        }
+        entry = journal_entry(self, params, status, rows, attempts, duration, error)
         with self._mutex:
             self._append_active(entry)
             self._entries[entry["key"]] = entry
@@ -535,14 +463,9 @@ class SweepLedger:
     def _append_active(self, entry: Dict) -> None:
         if self._mode == MODE_MEMORY:
             return
-        # No sort_keys, same as the checkpoint journal: row dicts must
-        # round-trip with their column order intact.
-        line = json.dumps(entry, default=repr)
+        line = journal_line(entry)
         try:
-            with self.active_path.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-                os.fsync(handle.fileno())
+            write_synced(self.active_path, line)
         except OSError as exc:
             self._degrade(MODE_MEMORY, f"active journal append failed: {exc}")
         self._maybe_crash("after-record")
@@ -571,7 +494,7 @@ class SweepLedger:
             payload = encode_segment(self._active, version=self.version)
             self._maybe_crash("before-segment-publish")
             self._maybe_crash("mid-segment-publish", torn=(path, payload))
-            with self._flock():
+            with flock(self.lock_path, self._writable):
                 atomic_write_bytes(path, payload)
                 fsync_directory(self.segments_dir)
                 self._maybe_crash("after-segment-before-manifest")
@@ -598,9 +521,7 @@ class SweepLedger:
 
     def _truncate_active(self) -> None:
         try:
-            with self.active_path.open("w", encoding="utf-8") as handle:
-                handle.flush()
-                os.fsync(handle.fileno())
+            write_synced(self.active_path, "", mode="w")
         except OSError as exc:
             # Benign: the sealed copies dedup the stale tail at the
             # next open.  Don't degrade a ledger that just sealed fine.

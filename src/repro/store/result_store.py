@@ -56,18 +56,21 @@ import logging
 import os
 import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-try:  # pragma: no cover - fcntl is stdlib on POSIX, absent on Windows
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None  # type: ignore[assignment]
-
+from repro._version import __version__
 from repro.errors import StorageError, StoreCorruptionError
 from repro.obs import metrics
-from repro.utils.atomicio import atomic_write_text, fsync_directory
+from repro.utils.atomicio import (
+    append_manifest,
+    atomic_write_text,
+    flock,
+    fsync_directory,
+    quarantine_file,
+    read_manifest,
+    reap_orphan_temps,
+)
 
 logger = logging.getLogger("repro.store")
 
@@ -77,12 +80,6 @@ SCHEMA_VERSION = 1
 #: A key is a content hash: lowercase hex, as produced by
 #: :func:`repro.obs.config_hash` (16 chars) or any sha256 prefix.
 _KEY_CHARS = set("0123456789abcdef")
-
-
-def _package_version() -> str:
-    from repro._version import __version__
-
-    return __version__
 
 
 def payload_checksum(payload: Dict) -> str:
@@ -115,13 +112,14 @@ class ResultStore:
         version: Optional[str] = None,
     ):
         self.root = Path(root)
-        self.version = version if version is not None else _package_version()
+        self.version = version if version is not None else __version__
         self.entries_dir = self.root / "entries"
         self.corrupt_dir = self.root / "corrupt"
         self.manifest_path = self.root / "manifest.wal"
         self.lock_path = self.root / "lock"
         self._mutex = threading.Lock()
         self._writable = writable
+        self._read_only = not writable
         self.degraded_reason: Optional[str] = None
         self._counts = {
             "hits": 0, "misses": 0, "writes": 0,
@@ -151,26 +149,6 @@ class ResultStore:
 
     def entry_path(self, key: str) -> Path:
         return self.entries_dir / key[:2] / f"{key}.json"
-
-    @contextmanager
-    def _flock(self) -> Iterator[None]:
-        """Serialize writers across processes (best effort without fcntl)."""
-        if fcntl is None or not self._writable:
-            yield
-            return
-        try:
-            handle = self.lock_path.open("a")
-        except OSError:
-            yield
-            return
-        try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-            yield
-        finally:
-            try:
-                fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-            finally:
-                handle.close()
 
     # ------------------------------------------------------------------
     # Reads
@@ -274,7 +252,7 @@ class ResultStore:
         text = json.dumps(record, separators=(",", ":"))
         path = self.entry_path(key)
         try:
-            with self._flock():
+            with flock(self.lock_path, self._writable):
                 path.parent.mkdir(parents=True, exist_ok=True)
                 atomic_write_text(path, text)
                 fsync_directory(path.parent)
@@ -288,11 +266,9 @@ class ResultStore:
         return True
 
     def _append_manifest(self, entry: Dict) -> None:
-        entry = {**entry, "ts": time.time(), "pid": os.getpid()}
-        with self.manifest_path.open("a", encoding="utf-8") as handle:
-            handle.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            handle.flush()
-            os.fsync(handle.fileno())
+        append_manifest(
+            self.manifest_path, {**entry, "ts": time.time(), "pid": os.getpid()}
+        )
 
     def _degrade(self, reason: str) -> None:
         """Flip to compute-only mode; simulation continues without persistence."""
@@ -313,28 +289,13 @@ class ResultStore:
     def quarantine(self, key: str, reason: str) -> Optional[Path]:
         """Move ``key``'s record into ``corrupt/`` (evidence preserved).
 
-        Never raises: if even the quarantine move fails, the entry is
-        unlinked so it cannot be re-read, and failing that it is simply
-        left behind (the next ``get`` re-detects it).
+        Never raises (see :func:`~repro.utils.atomicio.quarantine_file`).
+        A read-only view counts the corrupt record but moves nothing.
         """
-        path = self.entry_path(key)
-        destination: Optional[Path] = None
-        for attempt in range(100):
-            candidate = self.corrupt_dir / f"{key}.{attempt}.json"
-            if not candidate.exists():
-                destination = candidate
-                break
-        try:
-            self.corrupt_dir.mkdir(parents=True, exist_ok=True)
-            if destination is None:
-                raise OSError("quarantine namespace exhausted")
-            os.replace(path, destination)
-        except OSError:
-            destination = None
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
+        destination = quarantine_file(
+            self.entry_path(key), self.corrupt_dir, key, ".json",
+            move=not self._read_only,
+        )
         self._count("quarantined")
         if metrics.enabled:
             metrics.counter("store.corrupt_detected").add()
@@ -345,7 +306,7 @@ class ResultStore:
         )
         if self._writable:
             try:
-                with self._flock():
+                with flock(self.lock_path, self._writable):
                     self._append_manifest(
                         {"op": "quarantine", "key": key, "reason": reason}
                     )
@@ -363,22 +324,7 @@ class ResultStore:
     # ------------------------------------------------------------------
     def manifest_keys(self) -> Dict[str, str]:
         """Latest manifest op per key, tolerating a torn final line."""
-        ops: Dict[str, str] = {}
-        try:
-            text = self.manifest_path.read_text(encoding="utf-8")
-        except OSError:
-            return ops
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # crash mid-append truncated this line
-            if isinstance(entry, dict) and isinstance(entry.get("key"), str):
-                ops[entry["key"]] = str(entry.get("op", ""))
-        return ops
+        return read_manifest(self.manifest_path, "key")
 
     def recover(self) -> Dict[str, int]:
         """Repair after a crash: drop orphan temp files, heal the manifest.
@@ -390,13 +336,10 @@ class ResultStore:
         if self.entries_dir.is_dir():
             # Under the flock: live writers hold it while their temp file
             # exists, so anything visible here is a genuine crash orphan.
-            with self._flock():
-                for tmp in self.entries_dir.glob("*/.*.tmp"):
-                    try:
-                        tmp.unlink()
-                        repairs["orphan_tmp"] += 1
-                    except OSError:  # pragma: no cover - raced with another opener
-                        pass
+            with flock(self.lock_path, self._writable):
+                repairs["orphan_tmp"] = reap_orphan_temps(
+                    self.entries_dir, "*/.*.tmp"
+                )
         journalled = self.manifest_keys()
         missing = [
             key for key in self.keys()
@@ -404,7 +347,7 @@ class ResultStore:
         ]
         for key in missing:
             try:
-                with self._flock():
+                with flock(self.lock_path, self._writable):
                     self._append_manifest({"op": "put", "key": key, "recovered": True})
                 repairs["rejournaled"] += 1
             except OSError as exc:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -83,6 +84,19 @@ class TestHistory:
         assert entries[0]["note"] == "first"
         assert entries[0]["benches"]["gemm_256"]["wall_time_s"] == 0.01
         assert entries[0]["benches"]["gemm_256"]["counters"] == {"sim.cycles": 100}
+
+    def test_record_fsyncs_the_history_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "history.jsonl"
+        synced = []
+        real_fsync = os.fsync
+
+        def spy(fd):
+            synced.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        record(path, [BenchResult("gemm_256", 0.01)])
+        assert path.stat().st_ino in synced
 
     def test_missing_history_is_empty(self, tmp_path):
         assert load_history(tmp_path / "nope.jsonl") == []

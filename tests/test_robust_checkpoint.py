@@ -14,13 +14,18 @@ from repro.robust.checkpoint import CheckpointStore, point_key
 def _capture_checkpoint_warnings(caplog):
     # The CLI may set repro's logger to propagate=False; attach the
     # capture handler to the source logger directly (same idiom as
-    # tests/test_perf_parallel.py).
+    # tests/test_perf_parallel.py).  Propagation is switched off while
+    # it is attached, or the root-level caplog handler would capture
+    # every record a second time whenever repro still propagates.
     checkpoint_logger = logging.getLogger("repro.robust.checkpoint")
+    propagate = checkpoint_logger.propagate
     checkpoint_logger.addHandler(caplog.handler)
+    checkpoint_logger.propagate = False
     try:
         with caplog.at_level(logging.WARNING, logger="repro.robust.checkpoint"):
             yield
     finally:
+        checkpoint_logger.propagate = propagate
         checkpoint_logger.removeHandler(caplog.handler)
 
 

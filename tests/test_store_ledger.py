@@ -18,6 +18,7 @@ import pytest
 from repro.errors import StorageError, StoreCorruptionError
 from repro.robust.checkpoint import CheckpointStore, point_key
 from repro.store.ledger import MODE_JOURNAL, MODE_MEMORY, LedgerDiff, SweepLedger
+from repro.utils.atomicio import read_manifest
 
 
 def fill(ledger, count, start=0):
@@ -214,7 +215,7 @@ def test_unjournalled_segment_is_rejournalled(tmp_path):
     (tmp_path / "led" / "manifest.wal").unlink()
     reopened = SweepLedger(tmp_path / "led", version="test")
     assert reopened.completed_count == 2
-    ops = reopened._manifest_segments()
+    ops = read_manifest(reopened.manifest_path, "segment")
     assert ops == {"seg-000000.seg": "seal"}
     reopened.close()
 

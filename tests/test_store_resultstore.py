@@ -90,6 +90,18 @@ def test_read_only_view_never_writes(tmp_path):
     assert not view.put(OTHER, PAYLOAD)
     assert view.get(OTHER) is None
 
+    # A corrupt entry is a counted miss, but the view moves nothing.
+    path = view.entry_path(KEY)
+    raw = bytearray(path.read_bytes())
+    raw[raw.index(b"123")] ^= 0x01
+    path.write_bytes(bytes(raw))
+    manifest = (tmp_path / "s" / "manifest.wal").read_bytes()
+    assert view.get(KEY) is None
+    assert view.status()["quarantined"] == 1
+    assert path.read_bytes() == bytes(raw)
+    assert view.quarantined() == []
+    assert (tmp_path / "s" / "manifest.wal").read_bytes() == manifest
+
 
 # ----------------------------------------------------------------------
 # Corruption: detected on read, quarantined, recomputed
