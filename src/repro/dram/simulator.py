@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Iterable, List, Tuple
 
-from repro.dram.channel import Channel, ServicedRequest
-from repro.dram.request import DramAccess, decode
+import numpy as np
+
+from repro.dram import columnar
+from repro.dram.request import DramAccess
 from repro.dram.timing import DDR4_2400_LIKE, DramTiming
 from repro.errors import DramError
 from repro.obs import metrics, trace
@@ -45,61 +47,93 @@ class DramStats:
 
 
 class DramSimulator:
-    """Replay a (cycle, address, is_write) trace through the device model."""
+    """Replay a (cycle, address, is_write) trace through the device model.
+
+    The replay runs on the columnar fast path (:mod:`repro.dram.columnar`);
+    :class:`~repro.dram.channel.Channel` is its scalar reference.
+    """
 
     def __init__(self, timing: DramTiming = DDR4_2400_LIKE, reorder_window: int = 8):
         self.timing = timing
         self.reorder_window = reorder_window
 
     def run(self, requests: Iterable[DramAccess]) -> DramStats:
-        """Service the whole trace and return aggregate statistics."""
-        all_requests = list(requests)
+        """Service the whole trace and return aggregate statistics.
+
+        Accepts :class:`DramAccess`, :class:`repro.engine.tracefiles.DramRequest`
+        or any record with ``cycle``, ``address`` and ``is_write``.
+        """
+        stats, served = self._replay(requests, log=metrics.enabled)
+        if metrics.enabled:
+            metrics.counter("dram.requests").add(stats.num_requests)
+            metrics.counter("dram.row_hits").add(stats.row_hits)
+            metrics.counter("dram.bytes_moved").add(stats.bytes_moved)
+            metrics.counter("dram.stall_cycles").add(stats.total_latency)
+            latency = metrics.histogram("dram.request_latency")
+            for channel_log in served:
+                for arrival, finish in channel_log:
+                    latency.observe(finish - arrival)
+        return stats
+
+    def service_log(
+        self, requests: Iterable[DramAccess]
+    ) -> Tuple[DramStats, List[List[Tuple[int, int]]]]:
+        """:meth:`run` without metrics, plus the ``(arrival, finish)``
+        cycles of every request in service order, one list per non-empty
+        channel in channel order."""
+        return self._replay(requests, log=True)
+
+    def _replay(
+        self, requests: Iterable[DramAccess], log: bool
+    ) -> Tuple[DramStats, List[List[Tuple[int, int]]]]:
+        all_requests = requests if isinstance(requests, list) else list(requests)
         if not all_requests:
             raise DramError("empty DRAM trace")
-
+        timing = self.timing
+        served: List[List[Tuple[int, int]]] = []
+        last_finish = total_latency = row_hits = 0
         with trace.span(
-            "dram.run",
-            requests=len(all_requests),
-            channels=self.timing.num_channels,
+            "dram.run", requests=len(all_requests), channels=timing.num_channels
         ):
-            per_channel: List[List[DramAccess]] = [
-                [] for _ in range(self.timing.num_channels)
-            ]
-            for request in all_requests:
-                per_channel[decode(request.address, self.timing).channel].append(request)
-
-            serviced: List[ServicedRequest] = []
-            for channel_requests in per_channel:
-                if not channel_requests:
+            with trace.span("dram.decode"):
+                columns = columnar.decode_columns(all_requests, timing)
+                orders = columnar.channel_orders(columns, timing.num_channels)
+            for channel, order in enumerate(orders):
+                if not order.size:
                     continue
-                channel = Channel(self.timing, window=self.reorder_window)
-                serviced.extend(channel.service(channel_requests))
+                channel_log: List[Tuple[int, int]] = []
+                with trace.span("dram.channel", channel=channel) as span:
+                    totals = columnar.service_channel(
+                        timing,
+                        self.reorder_window,
+                        columns.cycle[order].tolist(),
+                        columns.bank[order].tolist(),
+                        columns.row[order].tolist(),
+                        columns.is_write[order].tolist(),
+                        channel_log if log else None,
+                    )
+                    span.set(
+                        requests=int(order.size),
+                        row_hits=totals.row_hits,
+                        total_latency=totals.total_latency,
+                    )
+                served.append(channel_log)
+                last_finish = max(last_finish, totals.last_finish)
+                total_latency += totals.total_latency
+                row_hits += totals.row_hits
 
-        if metrics.enabled:
-            metrics.counter("dram.requests").add(len(serviced))
-            metrics.counter("dram.row_hits").add(
-                sum(1 for item in serviced if item.row_hit)
-            )
-            metrics.counter("dram.bytes_moved").add(
-                len(serviced) * self.timing.line_bytes
-            )
-            metrics.counter("dram.stall_cycles").add(
-                sum(item.latency for item in serviced)
-            )
-            latency = metrics.histogram("dram.request_latency")
-            for item in serviced:
-                latency.observe(item.latency)
-
-        return DramStats(
-            num_requests=len(serviced),
-            num_reads=sum(1 for item in serviced if not item.request.is_write),
-            num_writes=sum(1 for item in serviced if item.request.is_write),
-            first_cycle=min(item.request.cycle for item in serviced),
-            last_finish_cycle=max(item.finish_cycle for item in serviced),
-            total_latency=sum(item.latency for item in serviced),
-            row_hits=sum(1 for item in serviced if item.row_hit),
-            bytes_moved=len(serviced) * self.timing.line_bytes,
+        num_writes = int(np.count_nonzero(columns.is_write))
+        stats = DramStats(
+            num_requests=len(all_requests),
+            num_reads=len(all_requests) - num_writes,
+            num_writes=num_writes,
+            first_cycle=int(columns.cycle.min()),
+            last_finish_cycle=last_finish,
+            total_latency=total_latency,
+            row_hits=row_hits,
+            bytes_moved=len(all_requests) * timing.line_bytes,
         )
+        return stats, served
 
     def sustainable(self, demanded_bandwidth: float) -> bool:
         """Quick feasibility check against the device's peak bandwidth."""

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, List, Tuple, Union
+from typing import Iterator, Tuple, Union
+
+import numpy as np
 
 from repro.dataflow.base import AddressLayout, DataflowEngine
 from repro.memory.bandwidth import DramTraffic
@@ -56,6 +58,20 @@ class DramRequest:
     is_write: bool
 
 
+def _spread(
+    lines: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> np.ndarray:
+    """Cycles of ``lines[f]`` requests spread evenly over the window
+    ``[starts[f], starts[f] + lengths[f])`` of every fold ``f``, folds
+    concatenated: request ``j`` of a fold issues at
+    ``start + j * length // lines``."""
+    first = np.cumsum(lines) - lines
+    j = np.arange(int(lines.sum()), dtype=np.int64) - np.repeat(first, lines)
+    return np.repeat(starts, lines) + (j * np.repeat(lengths, lines)) // np.repeat(
+        np.maximum(lines, 1), lines
+    )
+
+
 def dram_request_stream(
     traffic: DramTraffic,
     layout: AddressLayout,
@@ -66,46 +82,49 @@ def dram_request_stream(
     Addresses walk each operand region sequentially (prefetches are
     bulk, linear transfers in SCALE-Sim's model); request timestamps
     spread each fold's transfer uniformly over the fold it overlaps
-    with.  The stream is suitable for :class:`repro.dram.DramSimulator`.
+    with.  The stream is ordered by (cycle, is_write, address) and is
+    suitable for :class:`repro.dram.DramSimulator`.
     """
     if line_bytes <= 0:
         raise ValueError(f"line_bytes must be positive, got {line_bytes}")
-    fold_cycles = traffic.fold_cycles
-    fold_starts: List[int] = [0]
-    for cycles in fold_cycles[:-1]:
-        fold_starts.append(fold_starts[-1] + cycles)
+    fold_cycles = np.asarray(traffic.fold_cycles, dtype=np.int64)
+    fold_starts = np.cumsum(fold_cycles) - fold_cycles
     total_cycles = fold_starts[-1] + fold_cycles[-1]
+    folds = min(len(traffic.ifmap.per_fold_bytes), len(traffic.filter.per_fold_bytes))
+    k = np.arange(folds)
 
-    read_cursor = {"ifmap": layout.ifmap_offset, "filter": layout.filter_offset}
-    write_cursor = layout.ofmap_offset
+    # Fold 0 prefetches before execution (cold start at cycle 0, over
+    # fold 0's length); fold k prefetches during fold k-1.
+    before = np.maximum(k - 1, 0)
+    read_start = fold_starts[before]
+    read_len = fold_cycles[before]
+    # Fold k's outputs drain during fold k+1 (or right after the end).
+    has_next = k + 1 < len(fold_cycles)
+    after = np.where(has_next, k + 1, len(fold_cycles) - 1)
+    drain_start = np.where(has_next, fold_starts[after], total_cycles)
+    drain_len = fold_cycles[after]
 
-    per_fold_reads = [
-        (("ifmap", i_bytes), ("filter", f_bytes))
-        for i_bytes, f_bytes in zip(traffic.ifmap.per_fold_bytes, traffic.filter.per_fold_bytes)
-    ]
-    write_bytes_per_fold = list(traffic.ofmap_per_fold_bytes)
-
-    events: List[DramRequest] = []
-    for k, reads in enumerate(per_fold_reads):
-        # Fold 0 prefetches before execution (cold start at cycle 0);
-        # fold k prefetches during fold k-1.
-        window_start = 0 if k == 0 else fold_starts[k - 1]
-        window_len = fold_cycles[0] if k == 0 else fold_cycles[k - 1]
-        for stream, nbytes in reads:
-            lines = -(-nbytes // line_bytes) if nbytes else 0
-            for j in range(lines):
-                cycle = window_start + (j * window_len) // max(lines, 1)
-                events.append(DramRequest(cycle, read_cursor[stream], False))
-                read_cursor[stream] += line_bytes
-        # Fold k's outputs drain during fold k+1 (or right after the end).
-        wb = write_bytes_per_fold[k]
-        drain_start = fold_starts[k + 1] if k + 1 < len(fold_starts) else total_cycles
-        drain_len = fold_cycles[k + 1] if k + 1 < len(fold_cycles) else fold_cycles[-1]
-        lines = -(-wb // line_bytes) if wb else 0
-        for j in range(lines):
-            cycle = drain_start + (j * drain_len) // max(lines, 1)
-            events.append(DramRequest(cycle, write_cursor, True))
-            write_cursor += line_bytes
-
-    events.sort(key=lambda req: (req.cycle, req.is_write, req.address))
-    return iter(events)
+    cycles, addresses = [], []
+    for offset, per_fold, starts, lengths in (
+        (layout.ifmap_offset, traffic.ifmap.per_fold_bytes, read_start, read_len),
+        (layout.filter_offset, traffic.filter.per_fold_bytes, read_start, read_len),
+        (layout.ofmap_offset, traffic.ofmap_per_fold_bytes, drain_start, drain_len),
+    ):
+        lines = -(-np.asarray(per_fold[:folds], dtype=np.int64) // line_bytes)
+        cycles.append(_spread(lines, starts, lengths))
+        # Each operand's cursor walks its region line by line across folds.
+        addresses.append(offset + line_bytes * np.arange(int(lines.sum()), dtype=np.int64))
+    is_write = np.repeat([False, False, True], [len(c) for c in cycles])
+    cycle = np.concatenate(cycles)
+    address = np.concatenate(addresses)
+    order = np.lexsort((address, is_write, cycle))
+    return iter(
+        list(
+            map(
+                DramRequest,
+                cycle[order].tolist(),
+                address[order].tolist(),
+                is_write[order].tolist(),
+            )
+        )
+    )

@@ -19,6 +19,9 @@ model predicts the absolute numbers:
 * ``vectorized`` — the numpy sweep-compiler kernels
   (:mod:`repro.analytical.vectorized`) are bit-identical to the scalar
   analytical model (rel_tol 0);
+* ``dram`` — the columnar DRAM replay equals the scalar
+  :class:`~repro.dram.channel.Channel` model and stays within the
+  device's bounds (:mod:`repro.verify.dram`);
 * ``serial_parallel`` — a worker-pool sweep is row-identical to the
   serial walk (session-level: runs once per harness invocation);
 * ``parser_topology`` / ``parser_config`` — adversarial parser inputs
@@ -44,6 +47,7 @@ from repro.store.records import decode_result_pair, encode_result_pair
 from repro.topology.network import Network
 from repro.topology.parser import parse_topology_text
 from repro.verify.cases import VerifyCase
+from repro.verify.dram import prop_dram
 from repro.verify.oracles import (
     Violation,
     oracle_golden,
@@ -485,6 +489,8 @@ PROPERTIES: Dict[str, Property] = {
                  "cold == memoized == cache-off; store codec round-trips"),
         Property("vectorized", "case", prop_vectorized,
                  "vectorized numpy kernels bit-identical to the scalar model"),
+        Property("dram", "case", prop_dram,
+                 "columnar DRAM replay == scalar Channel model; device bounds"),
         Property("serial_parallel", "session", prop_serial_parallel,
                  "2-worker sweep row-identical to serial (runs once)"),
         Property("parser_topology", "text-topology", check_topology_text,
