@@ -16,119 +16,13 @@ The public API re-exports the main entry points of each subsystem:
 * Estimate energy with :func:`energy_of_result`, validate cycle counts
   against the register-level :func:`golden_gemm`, and replay DRAM
   traces through :class:`DramSimulator`.
+
+Every name is resolved on first access (see :mod:`repro._lazy`), so
+``import repro`` costs almost nothing and a process imports only the
+subsystems it uses.
 """
 
-from repro.config import (
-    Dataflow,
-    HardwareConfig,
-    load_config,
-    paper_scaling_config,
-    preset,
-)
-from repro.topology import (
-    ConvLayer,
-    GemmLayer,
-    Layer,
-    Network,
-    load_topology,
-)
-from repro.topology.lowering import TensorAddressLayout
-from repro.mapping import OperandMapping, map_layer, map_gemm, plan_folds
-from repro.engine import (
-    LayerResult,
-    RunResult,
-    ScaleOutSimulator,
-    Simulator,
-    StalledRuntime,
-    bandwidth_limited_runtime,
-    render_report,
-    sweet_spot_bandwidth,
-    write_report_csv,
-)
-from repro.engine.scaleout import simulate
-from repro.analytical import (
-    CandidateConfig,
-    Recommendation,
-    TrafficEstimate,
-    WorkloadSet,
-    best_scaleout,
-    best_scaleup,
-    candidate_costs,
-    estimate_traffic,
-    fold_runtime,
-    pareto_search,
-    recommend_configuration,
-    scaleout_runtime,
-    scaleup_runtime,
-    search_space,
-    unlimited_runtime,
-)
-from repro.noc import DegradedMeshNoc, MeshNoc, NocConfig, NocCost, layer_noc_cost
-from repro.resilience import (
-    FaultMap,
-    RemapPlan,
-    load_fault_map,
-    predict_layer_cycles,
-    random_fault_map,
-    remap_layer,
-)
-from repro.analytical.runtime import degraded_scaleout_runtime, degraded_scaleup_runtime
-from repro.energy import DEFAULT_ENERGY, EnergyParams, energy_of_result, energy_of_run
-from repro.golden import golden_gemm
-from repro.dram import DDR4_2400_LIKE, DramAccess, DramSimulator, DramTiming
-from repro.workloads import (
-    language_layer,
-    language_models,
-    resnet50,
-)
-from repro.sweep import pivot_to_csv, run_sweep, run_sweep_report, sweep_to_csv
-from repro.robust import (
-    CheckpointStore,
-    ExecutionPolicy,
-    Fault,
-    PointRecord,
-    RunReport,
-    SupervisorPolicy,
-    WorkerFault,
-    check_layer_result,
-    check_trace_conservation,
-    execute_grid,
-    execute_point,
-    inject_faults,
-    inject_worker_faults,
-)
-from repro.traceanalysis import reuse_profile, stream_stats
-from repro.obs import (
-    MetricsRegistry,
-    ProgressTracker,
-    Tracer,
-    metrics,
-    trace,
-)
-from repro.errors import (
-    CheckpointError,
-    CircuitOpenError,
-    ConfigError,
-    DramError,
-    ExecutionError,
-    InvariantError,
-    LedgerCorruptionError,
-    MappingError,
-    PointTimeoutError,
-    ReproError,
-    ResilienceError,
-    SearchError,
-    SimulationError,
-    StorageError,
-    SupervisorExhaustedError,
-    SweepError,
-    SweepInterrupted,
-    TopologyError,
-    WorkerCrashError,
-)
-from repro.store.ledger import LedgerDiff, SweepLedger
-
-from repro._version import __version__
+from repro._lazy import lazy_exports
 
 __all__ = [
     # configuration
@@ -257,3 +151,67 @@ __all__ = [
     "ResilienceError",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config.hardware": ("Dataflow", "HardwareConfig"),
+    "repro.config.parser": ("load_config",),
+    "repro.config.presets": ("paper_scaling_config", "preset"),
+    "repro.topology.layer": ("ConvLayer", "GemmLayer", "Layer"),
+    "repro.topology.network": ("Network",),
+    "repro.topology.parser": ("load_topology",),
+    "repro.topology.lowering": ("TensorAddressLayout",),
+    "repro.mapping.dims": ("OperandMapping", "map_layer", "map_gemm"),
+    "repro.mapping.folds": ("plan_folds",),
+    "repro.engine.results": ("LayerResult", "RunResult"),
+    "repro.engine.scaleout": ("ScaleOutSimulator", "simulate"),
+    "repro.engine.simulator": ("Simulator",),
+    "repro.engine.stalls": (
+        "StalledRuntime", "bandwidth_limited_runtime", "sweet_spot_bandwidth",
+    ),
+    "repro.engine.reports": ("render_report", "write_report_csv"),
+    "repro.analytical.search": (
+        "CandidateConfig", "best_scaleout", "best_scaleup", "search_space",
+    ),
+    "repro.analytical.recommend": ("Recommendation", "recommend_configuration"),
+    "repro.analytical.traffic": ("TrafficEstimate", "estimate_traffic"),
+    "repro.analytical.multiworkload": ("WorkloadSet", "candidate_costs", "pareto_search"),
+    "repro.analytical.runtime": (
+        "fold_runtime", "scaleout_runtime", "scaleup_runtime", "unlimited_runtime",
+        "degraded_scaleout_runtime", "degraded_scaleup_runtime",
+    ),
+    "repro.noc.mesh": ("DegradedMeshNoc", "MeshNoc", "NocConfig"),
+    "repro.noc.cost": ("NocCost", "layer_noc_cost"),
+    "repro.resilience.faultmap": ("FaultMap", "load_fault_map", "random_fault_map"),
+    "repro.resilience.remap": ("RemapPlan", "predict_layer_cycles", "remap_layer"),
+    "repro.energy.params": ("DEFAULT_ENERGY", "EnergyParams"),
+    "repro.energy.model": ("energy_of_result", "energy_of_run"),
+    "repro.golden.gemm": ("golden_gemm",),
+    "repro.dram.timing": ("DDR4_2400_LIKE", "DramTiming"),
+    "repro.dram.request": ("DramAccess",),
+    "repro.dram.simulator": ("DramSimulator",),
+    "repro.workloads.language": ("language_layer", "language_models"),
+    "repro.workloads.resnet50": ("resnet50",),
+    "repro.sweep": ("pivot_to_csv", "run_sweep", "run_sweep_report", "sweep_to_csv"),
+    "repro.robust.checkpoint": ("CheckpointStore",),
+    "repro.robust.policy": ("ExecutionPolicy",),
+    "repro.robust.faults": ("Fault", "WorkerFault", "inject_faults", "inject_worker_faults"),
+    "repro.robust.report": ("PointRecord", "RunReport"),
+    "repro.robust.supervisor": ("SupervisorPolicy",),
+    "repro.robust.invariants": ("check_layer_result", "check_trace_conservation"),
+    "repro.robust.executor": ("execute_grid", "execute_point"),
+    "repro.traceanalysis.reuse": ("reuse_profile",),
+    "repro.traceanalysis.streams": ("stream_stats",),
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.obs.progress": ("ProgressTracker",),
+    "repro.obs.tracer": ("Tracer",),
+    "repro.obs": ("metrics", "trace"),
+    "repro.errors": (
+        "CheckpointError", "CircuitOpenError", "ConfigError", "DramError",
+        "ExecutionError", "InvariantError", "LedgerCorruptionError", "MappingError",
+        "PointTimeoutError", "ReproError", "ResilienceError", "SearchError",
+        "SimulationError", "StorageError", "SupervisorExhaustedError", "SweepError",
+        "SweepInterrupted", "TopologyError", "WorkerCrashError",
+    ),
+    "repro.store.ledger": ("LedgerDiff", "SweepLedger"),
+    "repro._version": ("__version__",),
+})

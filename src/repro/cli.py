@@ -43,10 +43,9 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro._version import __version__
 from repro.obs import flight as obs_flight
 from repro.obs.bench import (
     DEFAULT_HISTORY,
@@ -55,13 +54,11 @@ from repro.obs.bench import (
     NOISE_FLOOR_S,
 )
 
-from repro.analytical.multiworkload import WorkloadSet, pareto_search
-from repro.config.hardware import Dataflow, HardwareConfig
-from repro.config.parser import load_config
-from repro.config.presets import paper_scaling_config
-from repro.engine.reports import render_report, write_report_csv
-from repro.engine.scaleout import ScaleOutSimulator
-from repro.engine.simulator import Simulator
+# Module level holds only what every command needs to parse its
+# arguments and report errors; each handler imports its own subsystem,
+# so ``repro workloads`` never loads numpy and ``repro run`` never
+# loads the store ledger, the supervisor or the service.
+from repro.config.hardware import Dataflow
 from repro.errors import (
     CheckpointError,
     ConfigError,
@@ -81,16 +78,16 @@ from repro.errors import (
     VerificationError,
     WorkerCrashError,
 )
-from repro.robust.checkpoint import CheckpointStore
-from repro.robust.policy import ExecutionPolicy
-from repro.robust.supervisor import SupervisorPolicy
-from repro.serve.jobs import sweep_estimate, sweep_measure
-from repro.sweep import run_sweep_report
-from repro.topology.network import Network
-from repro.topology.parser import load_topology
 from repro.utils.mathutils import is_power_of_two
 from repro.workloads.language import language_layer, TABLE_IV_DIMS
 from repro.workloads.registry import available_workloads, get_workload
+
+if TYPE_CHECKING:
+    from repro.config.hardware import HardwareConfig
+    from repro.robust.checkpoint import CheckpointStore
+    from repro.robust.policy import ExecutionPolicy
+    from repro.robust.supervisor import SupervisorPolicy
+    from repro.topology.network import Network
 
 
 #: A batch run ended without executing every point (failures tripped the
@@ -261,6 +258,8 @@ def _robust_workers(args: argparse.Namespace) -> int:
 
 
 def _robust_supervisor(args: argparse.Namespace) -> SupervisorPolicy:
+    from repro.robust.supervisor import SupervisorPolicy
+
     try:
         return SupervisorPolicy(
             point_timeout=args.point_timeout,
@@ -272,6 +271,8 @@ def _robust_supervisor(args: argparse.Namespace) -> SupervisorPolicy:
 
 
 def _robust_policy(args: argparse.Namespace) -> ExecutionPolicy:
+    from repro.robust.policy import ExecutionPolicy
+
     try:
         return ExecutionPolicy(
             max_retries=args.retries,
@@ -284,6 +285,8 @@ def _robust_policy(args: argparse.Namespace) -> ExecutionPolicy:
 
 
 def _robust_checkpoint(args: argparse.Namespace) -> Optional[CheckpointStore]:
+    from repro.robust.checkpoint import CheckpointStore
+
     if args.resume and not args.checkpoint:
         raise CheckpointError("--resume requires --checkpoint FILE")
     if not args.checkpoint:
@@ -324,6 +327,9 @@ def _parse_shape(text: str, what: str) -> Tuple[int, int]:
 
 
 def _load_network(args: argparse.Namespace) -> Network:
+    from repro.topology.network import Network
+    from repro.topology.parser import load_topology
+
     if args.topology:
         return load_topology(args.topology)
     if args.workload:
@@ -353,6 +359,9 @@ def _fault_map_from_args(args: argparse.Namespace):
 
 
 def _build_config(args: argparse.Namespace) -> HardwareConfig:
+    from repro.config.parser import load_config
+    from repro.config.presets import paper_scaling_config
+
     if args.config:
         config = load_config(args.config)
     else:
@@ -372,6 +381,10 @@ def _build_config(args: argparse.Namespace) -> HardwareConfig:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from repro.engine.reports import render_report, write_report_csv
+    from repro.engine.scaleout import ScaleOutSimulator
+    from repro.engine.simulator import Simulator
+
     network = _load_network(args)
     if args.batch and args.batch > 1:
         network = network.with_batch(args.batch)
@@ -424,6 +437,7 @@ def _cmd_dram(args: argparse.Namespace) -> int:
     """Replay one layer's DRAM schedule through the device back-end."""
     from repro.dram.simulator import DramSimulator
     from repro.dram.timing import DramTiming
+    from repro.engine.simulator import Simulator
     from repro.engine.tracefiles import dram_request_stream
     from repro.memory.bandwidth import compute_dram_traffic
     from repro.memory.buffers import BufferSet
@@ -456,6 +470,8 @@ def _cmd_dram(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
+    from repro.analytical.multiworkload import WorkloadSet, pareto_search
+
     network = _load_network(args)
     workloads = WorkloadSet(
         name=network.name,
@@ -482,6 +498,9 @@ def _resolve_layer(args: argparse.Namespace):
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from repro.serve.jobs import sweep_estimate, sweep_measure
+    from repro.sweep import run_sweep_report
+
     if not is_power_of_two(args.macs):
         raise SystemExit("--macs must be a power of two for the sweep")
     layer = _resolve_layer(args)
@@ -589,6 +608,8 @@ def _resilience_measure(
 
 def _cmd_resilience(args: argparse.Namespace) -> int:
     """Degraded-mode sweep: runtime/traffic as partitions fail."""
+    from repro.sweep import run_sweep_report
+
     if not is_power_of_two(args.macs):
         raise SystemExit("--macs must be a power of two for the sweep")
     layer = _resolve_layer(args)
@@ -809,14 +830,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     """Differential verification: fuzz, replay, mutation smoke, baselines."""
-    from repro.verify import (
-        PROPERTIES,
-        assert_baselines,
-        bless,
-        replay_corpus,
-        run_mutation_smoke,
-        run_verify,
-    )
+    from repro.verify.baseline import assert_baselines, bless
+    from repro.verify.corpus import replay_corpus
+    from repro.verify.harness import run_verify
+    from repro.verify.mutation import run_mutation_smoke
+    from repro.verify.properties import PROPERTIES
 
     if args.list_props:
         for name, prop in sorted(PROPERTIES.items()):
@@ -886,6 +904,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
     """Run the scaling-recommendation heuristic on a workload set."""
+    from repro.analytical.multiworkload import WorkloadSet
     from repro.analytical.recommend import recommend_configuration
 
     network = _load_network(args)
@@ -915,14 +934,15 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _reproduce_measure(experiment: str):
     """One experiment evaluation; module-level for picklability."""
-    from repro.experiments import run_experiment
+    from repro.experiments.registry import run_experiment
 
     return run_experiment(experiment)
 
 
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     """Regenerate one of the paper's tables/figures and print its rows."""
-    from repro.experiments import available_experiments
+    from repro.experiments.registry import available_experiments
+    from repro.sweep import run_sweep_report
 
     if args.list or not args.experiment:
         print("experiments: " + ", ".join(available_experiments()))
@@ -978,6 +998,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         make_server,
         serve_until_signalled,
     )
+    from repro.serve.jobs import SWEEP_LEDGER_ENV, import_job_modules
 
     try:
         policy = ServicePolicy(
@@ -995,9 +1016,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.ledger:
         # The job layer opens the ledger lazily per sweep execution, so
         # the daemon only pays for it when sweep jobs actually arrive.
-        from repro.serve.jobs import SWEEP_LEDGER_ENV
-
         os.environ[SWEEP_LEDGER_ENV] = args.ledger
+    # before binding: the first request must not pay for an import
+    import_job_modules()
     service = SimulationService(policy)
     server = make_server(
         service, host=args.host, port=args.port, socket_path=args.socket
@@ -1050,14 +1071,28 @@ def _cmd_submit(args: argparse.Namespace) -> int:
     return 0
 
 
+class _VersionAction(argparse.Action):
+    """``--version``: reads the package version only when asked for it."""
+
+    def __init__(self, option_strings, dest=argparse.SUPPRESS, **kwargs):
+        super().__init__(
+            option_strings, dest=dest, default=argparse.SUPPRESS, nargs=0,
+            help="show program's version number and exit",
+        )
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        from repro._version import __version__
+
+        print(f"{parser.prog} {__version__}")
+        parser.exit()
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="scalesim-repro",
         description="SCALE-Sim reproduction: systolic DNN accelerator simulator",
     )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
+    parser.add_argument("--version", action=_VersionAction)
     parser.add_argument(
         "--trace", metavar="FILE",
         help="record a Chrome trace-event / Perfetto JSON timeline to FILE",

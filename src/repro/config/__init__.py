@@ -1,16 +1,6 @@
 """Hardware configuration (paper Table I): array shape, SRAM sizes, dataflow."""
 
-from repro.config.hardware import Dataflow, HardwareConfig
-from repro.config.parser import load_config, dump_config, parse_config_text
-from repro.config.presets import (
-    EYERISS_LIKE,
-    GOOGLE_TPU_LIKE,
-    PAPER_SCALING_SRAM_KB,
-    SMALL_TEST,
-    paper_scaling_config,
-    preset,
-    preset_names,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Dataflow",
@@ -26,3 +16,12 @@ __all__ = [
     "preset",
     "preset_names",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.config.hardware": ("Dataflow", "HardwareConfig"),
+    "repro.config.parser": ("load_config", "dump_config", "parse_config_text"),
+    "repro.config.presets": (
+        "EYERISS_LIKE", "GOOGLE_TPU_LIKE", "PAPER_SCALING_SRAM_KB", "SMALL_TEST",
+        "paper_scaling_config", "preset", "preset_names",
+    ),
+})

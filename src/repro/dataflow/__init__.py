@@ -1,19 +1,6 @@
 """Cycle-accurate dataflow engines for OS / WS / IS systolic execution."""
 
-from repro.dataflow.base import (
-    AddressLayout,
-    CycleTrace,
-    DataflowEngine,
-    FoldDemand,
-    OperandSlice,
-    SramCounts,
-    fold_cycles,
-)
-from repro.dataflow.output_stationary import OutputStationaryEngine
-from repro.dataflow.output_stationary_dataplane import OutputStationaryDataPlaneEngine
-from repro.dataflow.weight_stationary import WeightStationaryEngine
-from repro.dataflow.input_stationary import InputStationaryEngine
-from repro.dataflow.factory import engine_for, engine_for_gemm
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AddressLayout",
@@ -30,3 +17,15 @@ __all__ = [
     "engine_for",
     "engine_for_gemm",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dataflow.base": (
+        "AddressLayout", "CycleTrace", "DataflowEngine", "FoldDemand", "OperandSlice",
+        "SramCounts", "fold_cycles",
+    ),
+    "repro.dataflow.output_stationary": ("OutputStationaryEngine",),
+    "repro.dataflow.output_stationary_dataplane": ("OutputStationaryDataPlaneEngine",),
+    "repro.dataflow.weight_stationary": ("WeightStationaryEngine",),
+    "repro.dataflow.input_stationary": ("InputStationaryEngine",),
+    "repro.dataflow.factory": ("engine_for", "engine_for_gemm"),
+})

@@ -8,9 +8,7 @@ Fig. 11 — whether a real DRAM device can sustain the stall-free
 bandwidth the accelerator demands.
 """
 
-from repro.dram.timing import DramTiming, DDR4_2400_LIKE
-from repro.dram.request import DramAccess
-from repro.dram.simulator import DramSimulator, DramStats
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DramTiming",
@@ -19,3 +17,9 @@ __all__ = [
     "DramSimulator",
     "DramStats",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.dram.timing": ("DramTiming", "DDR4_2400_LIKE"),
+    "repro.dram.request": ("DramAccess",),
+    "repro.dram.simulator": ("DramSimulator", "DramStats"),
+})

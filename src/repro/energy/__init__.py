@@ -1,7 +1,6 @@
 """Event-count energy model (paper Sec. IV-A, Fig. 12)."""
 
-from repro.energy.params import EnergyParams, DEFAULT_ENERGY
-from repro.energy.model import EnergyBreakdown, energy_of_result, energy_of_run
+from repro._lazy import lazy_exports
 
 __all__ = [
     "EnergyParams",
@@ -10,3 +9,8 @@ __all__ = [
     "energy_of_result",
     "energy_of_run",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.energy.params": ("EnergyParams", "DEFAULT_ENERGY"),
+    "repro.energy.model": ("EnergyBreakdown", "energy_of_result", "energy_of_run"),
+})

@@ -1,38 +1,6 @@
 """Simulation engines: single-array (scale-up) and partitioned (scale-out)."""
 
-from repro.engine.results import LayerResult, RunResult
-from repro.engine.simulator import Simulator
-from repro.engine.scaleout import ScaleOutSimulator, PartitionShare
-from repro.engine.reports import (
-    layer_report_rows,
-    render_report,
-    write_report_csv,
-)
-from repro.engine.tracefiles import write_sram_trace_csv, dram_request_stream
-from repro.engine.stalls import (
-    StalledRuntime,
-    bandwidth_limited_runtime,
-    sweet_spot_bandwidth,
-)
-from repro.engine.sram_bandwidth import (
-    SramBandwidthReport,
-    demand_histogram,
-    sram_bandwidth_report,
-)
-from repro.engine.interlayer import (
-    chainable,
-    interlayer_savings,
-    run_network_with_interlayer_reuse,
-)
-from repro.engine.pipeline import (
-    PipelineResult,
-    StageResult,
-    balance_stages,
-    run_pipelined,
-)
-from repro.engine.roofline import RooflinePoint, roofline_point
-from repro.engine.summary import RunSummary, amdahl_speedup_limit, summarize_run
-from repro.engine.persistence import load_run_result, save_run_result
+from repro._lazy import lazy_exports
 
 __all__ = [
     "LayerResult",
@@ -66,3 +34,26 @@ __all__ = [
     "load_run_result",
     "save_run_result",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.engine.results": ("LayerResult", "RunResult"),
+    "repro.engine.simulator": ("Simulator",),
+    "repro.engine.scaleout": ("ScaleOutSimulator", "PartitionShare"),
+    "repro.engine.reports": ("layer_report_rows", "render_report", "write_report_csv"),
+    "repro.engine.tracefiles": ("write_sram_trace_csv", "dram_request_stream"),
+    "repro.engine.stalls": (
+        "StalledRuntime", "bandwidth_limited_runtime", "sweet_spot_bandwidth",
+    ),
+    "repro.engine.sram_bandwidth": (
+        "SramBandwidthReport", "demand_histogram", "sram_bandwidth_report",
+    ),
+    "repro.engine.interlayer": (
+        "chainable", "interlayer_savings", "run_network_with_interlayer_reuse",
+    ),
+    "repro.engine.pipeline": (
+        "PipelineResult", "StageResult", "balance_stages", "run_pipelined",
+    ),
+    "repro.engine.roofline": ("RooflinePoint", "roofline_point"),
+    "repro.engine.summary": ("RunSummary", "amdahl_speedup_limit", "summarize_run"),
+    "repro.engine.persistence": ("load_run_result", "save_run_result"),
+})

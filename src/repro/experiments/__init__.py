@@ -8,6 +8,10 @@ them directly (e.g. to re-plot with different budgets).
 ``run_experiment(name)`` dispatches by the paper's figure/table id.
 """
 
-from repro.experiments.registry import available_experiments, run_experiment
+from repro._lazy import lazy_exports
 
 __all__ = ["available_experiments", "run_experiment"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.experiments.registry": ("available_experiments", "run_experiment"),
+})

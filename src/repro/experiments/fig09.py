@@ -65,3 +65,13 @@ def fig09bc_aspect_sweep(
         }
         for cand in sorted(mono, key=lambda cand: cand.aspect_ratio)
     ]
+
+
+def fig09b_aspect_sweep() -> List[Dict]:
+    """Fig. 9b: the aspect-ratio sweep at 2^14 MACs."""
+    return fig09bc_aspect_sweep(2**14)
+
+
+def fig09c_aspect_sweep() -> List[Dict]:
+    """Fig. 9c: the aspect-ratio sweep at 2^16 MACs."""
+    return fig09bc_aspect_sweep(2**16)

@@ -8,17 +8,7 @@ microarchitecturally explicit model that is independent of both the
 trace-based engine and the closed-form Eq. 3/4.
 """
 
-from repro.golden.array import (
-    GoldenFoldResult,
-    run_output_stationary_fold,
-    run_weight_stationary_fold,
-)
-from repro.golden.gemm import GoldenGemmResult, golden_gemm
-from repro.golden.validate import (
-    ValidationReport,
-    validate_configuration,
-    validation_sweep,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GoldenFoldResult",
@@ -30,3 +20,11 @@ __all__ = [
     "validate_configuration",
     "validation_sweep",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.golden.array": (
+        "GoldenFoldResult", "run_output_stationary_fold", "run_weight_stationary_fold",
+    ),
+    "repro.golden.gemm": ("GoldenGemmResult", "golden_gemm"),
+    "repro.golden.validate": ("ValidationReport", "validate_configuration", "validation_sweep"),
+})

@@ -1,7 +1,6 @@
 """Spatio-temporal mapping of layers onto systolic arrays (Table III)."""
 
-from repro.mapping.dims import OperandMapping, gemm_from_mapping, map_layer, map_gemm
-from repro.mapping.folds import Fold, FoldPlan, plan_folds
+from repro._lazy import lazy_exports
 
 __all__ = [
     "OperandMapping",
@@ -12,3 +11,8 @@ __all__ = [
     "FoldPlan",
     "plan_folds",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.mapping.dims": ("OperandMapping", "gemm_from_mapping", "map_layer", "map_gemm"),
+    "repro.mapping.folds": ("Fold", "FoldPlan", "plan_folds"),
+})

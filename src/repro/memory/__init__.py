@@ -1,8 +1,6 @@
 """Accelerator memory system: double-buffered SRAMs and DRAM demand."""
 
-from repro.memory.buffers import BufferSet, DoubleBuffer
-from repro.memory.reuse import OperandTraffic, operand_dram_traffic
-from repro.memory.bandwidth import BandwidthProfile, DramTraffic, compute_dram_traffic
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BufferSet",
@@ -13,3 +11,9 @@ __all__ = [
     "DramTraffic",
     "compute_dram_traffic",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.memory.buffers": ("BufferSet", "DoubleBuffer"),
+    "repro.memory.reuse": ("OperandTraffic", "operand_dram_traffic"),
+    "repro.memory.bandwidth": ("BandwidthProfile", "DramTraffic", "compute_dram_traffic"),
+})

@@ -10,7 +10,11 @@ collection, a port-bandwidth feasibility check, and an energy term that
 composes with :mod:`repro.energy`.
 """
 
-from repro.noc.mesh import DegradedMeshNoc, MeshNoc, NocConfig
-from repro.noc.cost import NocCost, layer_noc_cost
+from repro._lazy import lazy_exports
 
 __all__ = ["DegradedMeshNoc", "MeshNoc", "NocConfig", "NocCost", "layer_noc_cost"]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.noc.mesh": ("DegradedMeshNoc", "MeshNoc", "NocConfig"),
+    "repro.noc.cost": ("NocCost", "layer_noc_cost"),
+})

@@ -34,26 +34,9 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.obs.export import (
-    chrome_trace_events,
-    config_hash,
-    load_metrics,
-    load_trace,
-    run_metadata,
-    write_chrome_trace,
-    write_event_jsonl,
-    write_metrics_json,
-)
+from repro._lazy import lazy_exports
 from repro.obs.logconf import configure_logging, get_logger, resolve_level
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.progress import ProgressSnapshot, ProgressTracker
-from repro.obs.stats import (
-    SpanStat,
-    render_metrics_summary,
-    render_trace_summary,
-    summarize_file,
-    trace_span_stats,
-)
 from repro.obs.tracer import NULL_SPAN, SpanRecord, Tracer
 
 #: Process-wide tracer every instrumented module shares.
@@ -84,6 +67,8 @@ def configure(
     (``events_path`` records through the tracer too).  Call
     :func:`flush` to write the files.
     """
+    from repro.obs.export import run_metadata
+
     metadata = run_metadata(config_digest=config_digest, extra=extra_metadata)
     _sinks["metadata"] = metadata
     if trace_path or events_path:
@@ -97,6 +82,13 @@ def configure(
 
 def flush() -> List[Path]:
     """Write every configured sink; returns the paths written."""
+    from repro.obs.export import (
+        run_metadata,
+        write_chrome_trace,
+        write_event_jsonl,
+        write_metrics_json,
+    )
+
     metadata = _sinks["metadata"] or run_metadata()
     written: List[Path] = []
     if _sinks["trace_path"]:
@@ -152,3 +144,15 @@ __all__ = [
     "resolve_level",
     "get_logger",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.obs.export": (
+        "chrome_trace_events", "config_hash", "load_metrics", "load_trace",
+        "run_metadata", "write_chrome_trace", "write_event_jsonl", "write_metrics_json",
+    ),
+    "repro.obs.progress": ("ProgressSnapshot", "ProgressTracker"),
+    "repro.obs.stats": (
+        "SpanStat", "render_metrics_summary", "render_trace_summary", "summarize_file",
+        "trace_span_stats",
+    ),
+})

@@ -6,7 +6,8 @@ path would ship silently.  This module closes the loop:
 
 * :data:`BENCHES` — a small suite of deterministic, sub-second
   benchmarks over the paper's own workloads (one bare GEMM, one
-  scale-up conv layer, one partition-sweep slice).  Each run measures
+  scale-up conv layer, one partition-sweep slice, ...) plus
+  ``cold_start``, one fresh ``repro run`` process.  Each run measures
   wall time (min over repeats, the stablest point estimate) and the
   delta of every ``repro.obs`` counter that moved (simulated cycles,
   cache traffic, ... — deterministic for a fixed build, so they double
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Union
 
-from repro._version import __version__
 from repro.errors import PerfRegressionError
 from repro.utils.atomicio import fsync_directory, write_synced
 
@@ -75,7 +75,7 @@ def _bench_gemm() -> None:
 def _bench_scaleup_conv() -> None:
     from repro.config.presets import paper_scaling_config
     from repro.engine.simulator import Simulator
-    from repro.workloads import get_workload
+    from repro.workloads.registry import get_workload
 
     layer = get_workload("resnet50")[9]
     config = paper_scaling_config(32, 32)
@@ -146,13 +146,49 @@ def _bench_sweep_ledger() -> None:
         shutil.rmtree(root, ignore_errors=True)
 
 
-#: name -> zero-argument callable; deterministic, each well under a second.
+def _bench_cold_start() -> None:
+    """One fresh ``python -m repro run --workload resnet50`` process.
+
+    What every ``repro`` invocation waits for: interpreter start, the
+    package imports and a ~10 ms ResNet-50 simulation, so this bench
+    moves with import cost that no in-process bench can see.  The
+    child runs with ``--metrics`` and without ``REPRO_*`` variables
+    (no shared result store); its counters are merged into this
+    process's registry so they stay a drift detector like every other
+    bench's.
+    """
+    import os
+    import subprocess
+    import sys
+    import tempfile
+
+    from repro import obs
+    from repro.obs.export import load_metrics
+
+    src = str(Path(__file__).resolve().parents[2])
+    env = {key: value for key, value in os.environ.items() if not key.startswith("REPRO_")}
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (src, env.get("PYTHONPATH")) if path
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-bench-cold-") as scratch:
+        metrics_path = Path(scratch) / "metrics.json"
+        subprocess.run(
+            [sys.executable, "-m", "repro", "--metrics", str(metrics_path),
+             "run", "--workload", "resnet50"],
+            env=env, check=True, stdout=subprocess.DEVNULL,
+        )
+        for name, value in load_metrics(metrics_path)["counters"].items():
+            obs.metrics.counter(name).add(value)
+
+
+#: name -> zero-argument callable; deterministic, each at most ~1 s.
 BENCHES: Dict[str, Callable[[], None]] = {
     "gemm_256": _bench_gemm,
     "scaleup_conv": _bench_scaleup_conv,
     "sweep_slice": _bench_sweep_slice,
     "sweep_compiler": _bench_sweep_compiler,
     "sweep_ledger": _bench_sweep_ledger,
+    "cold_start": _bench_cold_start,
 }
 
 
@@ -239,6 +275,8 @@ def record(
     note: Optional[str] = None,
 ) -> Dict:
     """Append one history line for ``results``; returns the entry written."""
+    from repro._version import __version__
+
     entry = {
         "schema": BENCH_SCHEMA,
         "version": __version__,

@@ -29,7 +29,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro._version import __version__
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import PHASE_COMPLETE, SpanRecord, Tracer
 from repro.utils.atomicio import atomic_write_text
@@ -52,6 +51,8 @@ def run_metadata(
     extra: Optional[Dict] = None,
 ) -> Dict:
     """The reproducibility header shared by every exported file."""
+    from repro._version import __version__
+
     meta = {
         "tool": "scalesim-repro",
         "version": __version__,

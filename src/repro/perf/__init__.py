@@ -21,18 +21,12 @@ Every speed-up in this package is exactness-preserving and covered by
 equivalence tests against the serial/uncached reference paths.
 """
 
+from repro._lazy import lazy_exports
+
+# Bound eagerly: the instance ``cache`` shares its name with the
+# ``repro.perf.cache`` submodule, which any import of that module would
+# otherwise bind here in its place.  The module is numpy-free.
 from repro.perf.cache import SimulationCache, cache, simulation_key
-from repro.perf.compiler import (
-    DEFAULT_PRUNE_BAND,
-    DEFAULT_TOP_K,
-    CompiledSpace,
-    CompiledTraffic,
-    best_scaleout_compiled,
-    best_scaleup_compiled,
-    compile_search_space,
-    frontier_indices,
-    simulate_candidates,
-)
 
 __all__ = [
     "SimulationCache",
@@ -48,3 +42,11 @@ __all__ = [
     "frontier_indices",
     "simulate_candidates",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.perf.compiler": (
+        "DEFAULT_PRUNE_BAND", "DEFAULT_TOP_K", "CompiledSpace", "CompiledTraffic",
+        "best_scaleout_compiled", "best_scaleup_compiled", "compile_search_space",
+        "frontier_indices", "simulate_candidates",
+    ),
+})

@@ -15,21 +15,7 @@ same degradation.  See ``docs/robustness.md`` ("Degraded-mode
 simulation") for the full story.
 """
 
-from repro.resilience.faultmap import (
-    HEALTHY,
-    FaultMap,
-    fault_map_from_dict,
-    load_fault_map,
-    random_fault_map,
-)
-from repro.resilience.remap import (
-    RemapPlan,
-    TileAssignment,
-    check_remap_conservation,
-    predict_layer_cycles,
-    remap_layer,
-    tile_cycles,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "FaultMap",
@@ -44,3 +30,14 @@ __all__ = [
     "remap_layer",
     "tile_cycles",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.resilience.faultmap": (
+        "HEALTHY", "FaultMap", "fault_map_from_dict", "load_fault_map",
+        "random_fault_map",
+    ),
+    "repro.resilience.remap": (
+        "RemapPlan", "TileAssignment", "check_remap_conservation",
+        "predict_layer_cycles", "remap_layer", "tile_cycles",
+    ),
+})

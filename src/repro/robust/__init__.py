@@ -31,40 +31,7 @@ subsystem.  It provides:
 See ``docs/robustness.md`` for the full story.
 """
 
-from repro.robust.checkpoint import (
-    CheckpointStore,
-    PointJournal,
-    parse_journal_lines,
-    point_key,
-)
-from repro.robust.executor import execute_grid, execute_point
-from repro.robust.faults import (
-    Fault,
-    InjectedFault,
-    WorkerFault,
-    fault_scenario,
-    inject_faults,
-    inject_worker_faults,
-    scenario_seed,
-)
-from repro.robust.invariants import (
-    check_cycles,
-    check_layer_result,
-    check_macs,
-    check_trace_conservation,
-    expected_cycles,
-)
-from repro.robust.policy import COLLECT, FAIL_FAST, ExecutionPolicy
-from repro.robust.report import (
-    STATUS_CACHED,
-    STATUS_FAILED,
-    STATUS_OK,
-    STATUS_SKIPPED,
-    PointRecord,
-    RunReport,
-    exception_chain,
-)
-from repro.robust.supervisor import SupervisorPolicy, execute_grid_supervised
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CheckpointStore",
@@ -98,3 +65,24 @@ __all__ = [
     "RunReport",
     "exception_chain",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.robust.checkpoint": (
+        "CheckpointStore", "PointJournal", "parse_journal_lines", "point_key",
+    ),
+    "repro.robust.executor": ("execute_grid", "execute_point"),
+    "repro.robust.faults": (
+        "Fault", "InjectedFault", "WorkerFault", "fault_scenario", "inject_faults",
+        "inject_worker_faults", "scenario_seed",
+    ),
+    "repro.robust.invariants": (
+        "check_cycles", "check_layer_result", "check_macs", "check_trace_conservation",
+        "expected_cycles",
+    ),
+    "repro.robust.policy": ("COLLECT", "FAIL_FAST", "ExecutionPolicy"),
+    "repro.robust.report": (
+        "STATUS_CACHED", "STATUS_FAILED", "STATUS_OK", "STATUS_SKIPPED", "PointRecord",
+        "RunReport", "exception_chain",
+    ),
+    "repro.robust.supervisor": ("SupervisorPolicy", "execute_grid_supervised"),
+})

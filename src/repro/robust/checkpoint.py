@@ -30,7 +30,6 @@ import logging
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Protocol, Union
 
-from repro._version import __version__
 from repro.errors import CheckpointError
 from repro.utils.atomicio import atomic_write_text, write_synced
 
@@ -162,6 +161,8 @@ class CheckpointStore:
         version: Optional[str] = None,
         resume: bool = True,
     ):
+        from repro._version import __version__
+
         self.path = Path(path)
         self.version = version if version is not None else __version__
         self._entries: Dict[str, Dict] = {}

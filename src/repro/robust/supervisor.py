@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import importlib
 import json
 import logging
 import os
@@ -80,6 +81,15 @@ RESOURCE_KILL_EXIT = 70
 
 #: Prefix of the per-run scratch directories under the system tempdir.
 SCRATCH_PREFIX = "repro-supervisor-"
+
+#: Imported by the parent before its workers fork (see
+#: ``_Supervisor._make_pool``): the simulation core every pooled sweep,
+#: experiment and DRAM replay point runs on.
+_FORK_PRELOAD = (
+    "repro.engine.simulator",
+    "repro.engine.tracefiles",
+    "repro.dram.simulator",
+)
 
 #: A scratch dir untouched this long belongs to a run that died without
 #: reaching its ``finally`` (SIGKILL, power loss); reap it on the next
@@ -483,7 +493,14 @@ class _Supervisor:
         self.unsettled.add(index)
 
     def _make_pool(self, workers: int) -> concurrent.futures.ProcessPoolExecutor:
-        """A pool whose workers mirror the parent's logging/trace setup."""
+        """A pool whose workers mirror the parent's logging/trace setup.
+
+        The workers fork from this process, so the simulation core is
+        imported here first: a module a pooled point would otherwise
+        import lazily is then paid once, not once per worker per pool.
+        """
+        for module in _FORK_PRELOAD:
+            importlib.import_module(module)
         return concurrent.futures.ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_initializer,

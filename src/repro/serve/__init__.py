@@ -9,16 +9,7 @@ SIGTERM drain mirroring the supervised pool's.  See
 operator guide.
 """
 
-from repro.serve.client import DEFAULT_PORT, ServiceClient
-from repro.serve.daemon import (
-    ReproHTTPServer,
-    ServicePolicy,
-    SimulationService,
-    UnixHTTPServer,
-    make_server,
-    serve_until_signalled,
-)
-from repro.serve.jobs import JOB_KINDS, execute_job, job_key, normalize_request
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_PORT",
@@ -34,3 +25,12 @@ __all__ = [
     "normalize_request",
     "serve_until_signalled",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.serve.client": ("DEFAULT_PORT", "ServiceClient"),
+    "repro.serve.daemon": (
+        "ReproHTTPServer", "ServicePolicy", "SimulationService", "UnixHTTPServer",
+        "make_server", "serve_until_signalled",
+    ),
+    "repro.serve.jobs": ("JOB_KINDS", "execute_job", "job_key", "normalize_request"),
+})

@@ -40,6 +40,17 @@ JOB_KINDS = ("gemm", "run", "sweep")
 #: into this columnar ledger and reuse completed points across requests.
 SWEEP_LEDGER_ENV = "REPRO_SWEEP_LEDGER"
 
+#: Modules :func:`execute_job` imports for its job kinds.  ``repro
+#: serve`` imports them when the daemon starts (:func:`import_job_modules`),
+#: so no request's timeout or ``serve.execute`` span includes an import.
+JOB_MODULES = (
+    "repro.engine.scaleout",
+    "repro.engine.simulator",
+    "repro.store.ledger",
+    "repro.sweep",
+    "repro.topology.network",
+)
+
 #: Request fields accepted per kind (beyond "kind" itself).
 _FIELDS = {
     "gemm": {"m", "k", "n", "array", "dataflow"},
@@ -238,6 +249,17 @@ def job_key(request: Dict) -> str:
     from repro._version import __version__
 
     return config_hash({"job": request, "version": __version__})
+
+
+def import_job_modules() -> None:
+    """Import everything :func:`execute_job` needs, and the version
+    :func:`job_key` stamps, ahead of the first request."""
+    import importlib
+
+    from repro._version import __version__  # noqa: F401  (resolved once)
+
+    for module in JOB_MODULES:
+        importlib.import_module(module)
 
 
 def execute_job(request: Dict) -> Dict:

@@ -11,24 +11,7 @@ checksummed segments (:mod:`repro.store.segment`) that make whole
 sweeps durable, corruption-recoverable and incrementally re-runnable.
 """
 
-from repro.store.ledger import (
-    DEFAULT_SEGMENT_ENTRIES,
-    LedgerDiff,
-    SweepLedger,
-)
-from repro.store.records import decode_result_pair, encode_result_pair
-from repro.store.result_store import SCHEMA_VERSION, ResultStore, payload_checksum
-from repro.store.runtime import (
-    STORE_ENV_VAR,
-    active,
-    configure,
-    deactivate,
-    disable,
-    probe,
-    record,
-    store_key,
-)
-from repro.store.segment import Segment, SegmentInfo, encode_segment, write_segment
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_SEGMENT_ENTRIES",
@@ -52,3 +35,14 @@ __all__ = [
     "record",
     "store_key",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.store.ledger": ("DEFAULT_SEGMENT_ENTRIES", "LedgerDiff", "SweepLedger"),
+    "repro.store.records": ("decode_result_pair", "encode_result_pair"),
+    "repro.store.result_store": ("SCHEMA_VERSION", "ResultStore", "payload_checksum"),
+    "repro.store.runtime": (
+        "STORE_ENV_VAR", "active", "configure", "deactivate", "disable", "probe",
+        "record", "store_key",
+    ),
+    "repro.store.segment": ("Segment", "SegmentInfo", "encode_segment", "write_segment"),
+})

@@ -83,7 +83,6 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._version import __version__
 from repro.errors import LedgerCorruptionError, StorageError, StoreCorruptionError
 from repro.obs import metrics
 from repro.robust.checkpoint import (
@@ -183,6 +182,8 @@ class SweepLedger:
     ):
         if segment_entries < 1:
             raise ValueError(f"segment_entries must be >= 1, got {segment_entries}")
+        from repro._version import __version__
+
         self.root = Path(root)
         self.version = version if version is not None else __version__
         self.segment_entries = segment_entries

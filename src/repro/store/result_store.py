@@ -59,7 +59,6 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Union
 
-from repro._version import __version__
 from repro.errors import StorageError, StoreCorruptionError
 from repro.obs import metrics
 from repro.utils.atomicio import (
@@ -111,6 +110,8 @@ class ResultStore:
         writable: bool = True,
         version: Optional[str] = None,
     ):
+        from repro._version import __version__
+
         self.root = Path(root)
         self.version = version if version is not None else __version__
         self.entries_dir = self.root / "entries"

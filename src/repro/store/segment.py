@@ -66,7 +66,6 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro._version import __version__
 from repro.errors import LedgerCorruptionError
 from repro.utils.atomicio import atomic_write_bytes
 
@@ -134,6 +133,8 @@ def encode_segment(entries: Sequence[Dict], version: Optional[str] = None) -> by
     optionally ``version``); ``decode``/:meth:`Segment.entries` invert
     this losslessly.
     """
+    from repro._version import __version__
+
     if not entries:
         raise ValueError("a segment needs at least one entry")
     default_version = version if version is not None else __version__

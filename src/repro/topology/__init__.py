@@ -1,13 +1,6 @@
 """Workload topology (paper Table II): layers, networks, CSV parsing."""
 
-from repro.topology.layer import ConvLayer, GemmLayer, Layer
-from repro.topology.network import Network
-from repro.topology.parser import (
-    load_topology,
-    parse_topology_text,
-    dump_topology,
-    TOPOLOGY_HEADER,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ConvLayer",
@@ -19,3 +12,11 @@ __all__ = [
     "dump_topology",
     "TOPOLOGY_HEADER",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.topology.layer": ("ConvLayer", "GemmLayer", "Layer"),
+    "repro.topology.network": ("Network",),
+    "repro.topology.parser": (
+        "load_topology", "parse_topology_text", "dump_topology", "TOPOLOGY_HEADER",
+    ),
+})

@@ -6,8 +6,7 @@ this package supplies the standard tools: LRU reuse-distance profiles
 statistics, computed directly from the engines' exact address streams.
 """
 
-from repro.traceanalysis.reuse import ReuseProfile, reuse_distances, reuse_profile
-from repro.traceanalysis.streams import StreamStats, stream_addresses, stream_stats
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ReuseProfile",
@@ -17,3 +16,8 @@ __all__ = [
     "stream_addresses",
     "stream_stats",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.traceanalysis.reuse": ("ReuseProfile", "reuse_distances", "reuse_profile"),
+    "repro.traceanalysis.streams": ("StreamStats", "stream_addresses", "stream_stats"),
+})

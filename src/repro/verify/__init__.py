@@ -10,30 +10,7 @@ replayable regression bundle, and guards the paper's reproduced
 numbers behind blessed golden baselines.
 """
 
-from repro.verify.baseline import (
-    BaselineReport,
-    assert_baselines,
-    bless,
-    blessed_experiments,
-    check_baselines,
-    load_baseline,
-)
-from repro.verify.cases import VerifyCase
-from repro.verify.corpus import (
-    CORPUS_DIRNAME,
-    bundle_from_violation,
-    load_bundle,
-    load_corpus,
-    replay_bundle,
-    replay_corpus,
-    write_bundle,
-)
-from repro.verify.generate import CaseGenerator
-from repro.verify.harness import VerifyReport, run_verify
-from repro.verify.mutation import MUTANTS, MutationReport, run_mutation_smoke
-from repro.verify.oracles import Violation
-from repro.verify.properties import PROPERTIES, Property, resolve_properties
-from repro.verify.shrink import shrink_case, shrink_text
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BaselineReport",
@@ -63,3 +40,21 @@ __all__ = [
     "shrink_text",
     "write_bundle",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    "repro.verify.baseline": (
+        "BaselineReport", "assert_baselines", "bless", "blessed_experiments",
+        "check_baselines", "load_baseline",
+    ),
+    "repro.verify.cases": ("VerifyCase",),
+    "repro.verify.corpus": (
+        "CORPUS_DIRNAME", "bundle_from_violation", "load_bundle", "load_corpus",
+        "replay_bundle", "replay_corpus", "write_bundle",
+    ),
+    "repro.verify.generate": ("CaseGenerator",),
+    "repro.verify.harness": ("VerifyReport", "run_verify"),
+    "repro.verify.mutation": ("MUTANTS", "MutationReport", "run_mutation_smoke"),
+    "repro.verify.oracles": ("Violation",),
+    "repro.verify.properties": ("PROPERTIES", "Property", "resolve_properties"),
+    "repro.verify.shrink": ("shrink_case", "shrink_text"),
+})

@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
-from repro._version import __version__
 from repro.errors import VerificationError
 from repro.experiments.registry import available_experiments, run_experiment
 from repro.obs.export import config_hash
@@ -66,6 +65,8 @@ def bless(
         raise VerificationError(
             f"unknown experiment(s) {unknown}; available: {sorted(known)}"
         )
+    from repro._version import __version__
+
     written: List[Path] = []
     for name in chosen:
         rows = run_experiment(name)

@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro._version import __version__
 from repro.errors import VerificationError
 from repro.obs.export import config_hash
 from repro.utils.atomicio import atomic_write_text
@@ -32,6 +31,8 @@ BUNDLE_SCHEMA = 1
 
 def bundle_from_violation(violation: Violation, seed: int) -> Dict:
     """Serialize one (ideally already shrunk) violation for replay."""
+    from repro._version import __version__
+
     bundle: Dict = {
         "schema": BUNDLE_SCHEMA,
         "case_schema": CASE_SCHEMA,
